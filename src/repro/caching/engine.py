@@ -26,8 +26,14 @@ How the vectorization works
 * :class:`BatchReplayEngine` walks each query as alternating segments: a
   maximal *run of hits* (classified in one residency-array gather) is counted,
   recorded with the policy and promoted in bulk; the following *demand miss*
-  reads its block and offers the non-resident co-residents to the policy
-  through the vectorized ``admit_batch`` API in one call.
+  inserts its vector and offers the non-resident co-residents to the policy
+  through the vectorized ``admit_batch`` API in one call.  The blocks of a
+  query's misses are charged to the device in one ``read_blocks`` call at
+  the end of the query, with latency totals summed read by read so they
+  stay bit-identical to per-miss reads.
+* A table with no DRAM (``capacity == 0``) short-circuits: every lookup
+  misses and nothing is ever admitted, so a query is counted, recorded with
+  the policy in stream order and charged in O(1) array operations.
 * When no eviction can occur (the common case for adequately sized and
   unlimited caches) the admitted vectors are stamped in bulk, with insertion
   priorities computed by the same float expression the reference uses so the
@@ -60,7 +66,7 @@ import numpy.typing as npt
 from repro.caching.policies import PrefetchPolicy
 from repro.caching.replay import ReplayStats
 from repro.nvm.block import BlockLayout
-from repro.nvm.device import NVMDevice
+from repro.nvm.device import NVMDevice, add_repeated
 from repro.utils.validation import check_non_negative, check_positive
 
 
@@ -371,6 +377,13 @@ class BatchReplayEngine:
         self.stats = stats
         self.device = device
         self.queue_depth = float(queue_depth)
+        # Per-read latency at the fixed depth, added to total_latency_us once
+        # per miss (the device adds the same value to its own total).
+        self._read_latency_us = (
+            device.latency_model.mean_latency_us(self.queue_depth)
+            if device is not None
+            else 0.0
+        )
         # Vectors currently resident because of a prefetch and not yet demanded.
         self._pending = np.zeros(layout.num_vectors, dtype=bool)
         self._num_pending = 0
@@ -428,10 +441,25 @@ class BatchReplayEngine:
             )
         stats = self.stats
         cache = self.cache
-        resident = cache._resident
-        pending = self._pending
         policy = self.policy
         skip_record = self._skip_record
+        if cache.capacity == 0:
+            # Nothing is ever stored, so every lookup misses and no admission
+            # is observable (admit is pure): the per-miss walk would only
+            # record each access and read its block.
+            stats.lookups += n
+            stats.misses += n
+            if not skip_record:
+                if self._record_miss_batched:
+                    policy.record_access_batch(ids)
+                else:
+                    for vid in ids.tolist():
+                        policy.record_access(vid)
+            self._charge_misses(ids)
+            return
+        resident = cache._resident
+        pending = self._pending
+        missed: List[int] = []
         # The residency gather is bounded by an adaptive window that tracks
         # the typical hit-run length: it doubles while whole windows hit and
         # halves on every miss, so miss-heavy stretches pay O(run) per scan
@@ -474,7 +502,7 @@ class BatchReplayEngine:
                     break
                 if j == upper:
                     continue  # pure window boundary, not a classified miss
-            # Demand miss: read the block holding the vector.
+            # Demand miss: the block read is charged with the query's others.
             vid = int(ids[i])
             stats.lookups += 1
             if not skip_record:
@@ -483,15 +511,28 @@ class BatchReplayEngine:
                 else:
                     policy.record_access(vid)
             stats.misses += 1
-            if self.device is not None:
-                result = self.device.read_block(
-                    int(self._block_arr[vid]), queue_depth=self.queue_depth
-                )
-                stats.total_latency_us += result.latency_us
+            missed.append(vid)
             self._process_miss(vid)
             i += 1
+        if missed:
+            self._charge_misses(np.array(missed, dtype=np.int64))
 
     # ---------------------------------------------------------------- private
+    def _charge_misses(self, vids: np.ndarray) -> None:
+        """Read the blocks of the demand-missed ``vids`` in one device call.
+
+        The per-read latency is added to ``total_latency_us`` one read at a
+        time, so the stats and device totals are bit-identical to one
+        ``read_block`` per miss.
+        """
+        device = self.device
+        if device is None:
+            return
+        device.read_blocks(self._block_arr[vids], queue_depth=self.queue_depth)
+        self.stats.total_latency_us = add_repeated(
+            self.stats.total_latency_us, self._read_latency_us, int(vids.size)
+        )
+
     def _process_miss(self, vid: int) -> None:
         """Insert the demanded vector and run bulk prefetch admission.
 
@@ -499,15 +540,13 @@ class BatchReplayEngine:
         so the block-residency gather that follows sees any eviction the
         demand insert caused — an initially-resident neighbour evicted here
         re-enters the candidate set naturally, and the demand vector itself is
-        excluded from the candidates by its own residency.
+        excluded from the candidates by its own residency.  Requires a
+        non-zero capacity (:meth:`replay_query` short-circuits zero-DRAM
+        tables before any miss is processed).
         """
         cache = self.cache
         stats = self.stats
         capacity = cache.capacity
-        if capacity == 0:
-            # Nothing is ever stored: inserts are no-ops and no admission is
-            # observable (admit is pure), exactly as in the reference loop.
-            return
         # Demand insertion at the top of the queue, evicting if needed.
         if cache._live >= capacity:
             evicted = cache._evict_one()

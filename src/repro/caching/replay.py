@@ -20,7 +20,7 @@ changing replay semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 import numpy as np
 
@@ -108,6 +108,32 @@ class ReplayStats:
         if include_latency:
             values += (self.total_latency_us,)
         return values
+
+    def check_invariants(self) -> None:
+        """Raise ``ValueError`` if the counters break a conservation law.
+
+        Every lookup is a hit or a miss; a prefetched vector is demanded or
+        evicted unused at most once; an unused-prefetch eviction is an
+        eviction.
+        """
+        violations: List[str] = []
+        if self.lookups != self.hits + self.misses:
+            violations.append(
+                f"lookups ({self.lookups}) != hits ({self.hits}) + misses ({self.misses})"
+            )
+        if self.prefetch_hits + self.prefetch_evicted_unused > self.prefetch_admitted:
+            violations.append(
+                f"prefetch_hits ({self.prefetch_hits}) + prefetch_evicted_unused "
+                f"({self.prefetch_evicted_unused}) > prefetch_admitted "
+                f"({self.prefetch_admitted})"
+            )
+        if self.prefetch_evicted_unused > self.evictions:
+            violations.append(
+                f"prefetch_evicted_unused ({self.prefetch_evicted_unused}) > "
+                f"evictions ({self.evictions})"
+            )
+        if violations:
+            raise ValueError("ReplayStats invariants violated: " + "; ".join(violations))
 
     def merge(self, other: "ReplayStats") -> "ReplayStats":
         """Return the element-wise sum of two stats objects (same geometry)."""

@@ -11,6 +11,7 @@ values); the replay benchmarks run it in pure counting mode for speed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -20,6 +21,17 @@ import numpy.typing as npt
 from repro.nvm.endurance import EnduranceTracker
 from repro.nvm.latency import NVMLatencyModel
 from repro.utils.validation import check_positive
+
+
+def add_repeated(total: float, value: float, count: int) -> float:
+    """``total`` after ``count`` sequential ``total += value`` steps.
+
+    Summing one at a time (not ``total + value * count``) keeps running
+    latency totals bit-identical to per-read accounting.
+    """
+    for _ in range(count):
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -114,17 +126,33 @@ class NVMDevice:
     def read_blocks(self, block_ids: npt.ArrayLike, queue_depth: float = 8.0) -> float:
         """Read several blocks; returns the total modelled latency in µs.
 
-        Reads at the same queue depth overlap on the device, so the modelled
-        wall-clock latency of a batch is the per-read latency times the number
-        of serial rounds (``ceil(len(block_ids) / queue_depth)``).
+        The counters end up exactly as after one :meth:`read_block` call per
+        id, in order: the per-read latency is added to the running total one
+        read at a time, so the float result is bit-identical.  Every id and
+        the depth are validated before any counter moves.  Reads at the same
+        queue depth overlap on the device, so the modelled wall-clock latency
+        of a batch is the per-read latency times the number of serial rounds
+        (``ceil(len(block_ids) / depth)``, with the latency model's depth
+        clamp applied).
         """
         block_ids = np.asarray(block_ids, dtype=np.int64)
-        for block_id in block_ids:
-            self.read_block(int(block_id), queue_depth=queue_depth)
-        if block_ids.size == 0:
+        depth = self.latency_model.clamp_depth(queue_depth)
+        latency = self.latency_model.mean_latency_us(depth)
+        count = int(block_ids.size)
+        if count == 0:
             return 0.0
-        rounds = int(np.ceil(block_ids.size / queue_depth))
-        return rounds * self.latency_model.mean_latency_us(queue_depth)
+        # Builtin min/max over a list: cheaper than two NumPy reductions at
+        # the few-reads-per-call sizes the replay engine issues.
+        ids = block_ids.tolist()
+        self._check_block(min(ids))
+        self._check_block(max(ids))
+        self._blocks_read += count
+        self._total_read_latency_us = add_repeated(
+            self._total_read_latency_us, latency, count
+        )
+        if self._per_block_reads is not None:
+            np.add.at(self._per_block_reads, block_ids, 1)
+        return math.ceil(count / depth) * latency
 
     # ---------------------------------------------------------------- counters
     @property

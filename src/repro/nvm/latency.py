@@ -101,7 +101,7 @@ class NVMLatencyModel:
         check_positive(self.saturation_ceiling, "saturation_ceiling")
 
     @staticmethod
-    def _clamp_depth(queue_depth: float) -> float:
+    def clamp_depth(queue_depth: float) -> float:
         """Clamp queue depths in ``[0, 1)`` to 1 (see "Domain clamping")."""
         check_non_negative(queue_depth, "queue_depth")
         return max(float(queue_depth), 1.0)
@@ -109,19 +109,19 @@ class NVMLatencyModel:
     # ------------------------------------------------------- unloaded (Fig 2)
     def bandwidth_gbps(self, queue_depth: float) -> float:
         """Random-read bandwidth (GB/s) at the given queue depth."""
-        queue_depth = self._clamp_depth(queue_depth)
+        queue_depth = self.clamp_depth(queue_depth)
         return self.max_bandwidth_gbps * queue_depth / (
             queue_depth + self.bandwidth_half_depth
         )
 
     def mean_latency_us(self, queue_depth: float) -> float:
         """Mean 4 KB read latency (µs) at the given queue depth, unloaded."""
-        queue_depth = self._clamp_depth(queue_depth)
+        queue_depth = self.clamp_depth(queue_depth)
         return self.base_latency_us + self.latency_per_depth_us * (queue_depth - 1.0)
 
     def p99_latency_us(self, queue_depth: float) -> float:
         """P99 4 KB read latency (µs) at the given queue depth, unloaded."""
-        queue_depth = self._clamp_depth(queue_depth)
+        queue_depth = self.clamp_depth(queue_depth)
         multiplier = self.p99_multiplier + self.p99_depth_multiplier * (queue_depth - 1.0)
         return self.mean_latency_us(queue_depth) * multiplier
 

@@ -33,8 +33,10 @@ from repro.nvm.device import NVMDevice
 from repro.workloads.trace import Trace
 
 
-def counters(stats: ReplayStats):
-    return stats.counters()
+def counters(stats: ReplayStats, include_latency: bool = False):
+    """The comparable counter tuple, after checking the conservation laws."""
+    stats.check_invariants()
+    return stats.counters(include_latency=include_latency)
 
 
 def random_workload(seed: int):
@@ -111,19 +113,78 @@ class TestEngineEquivalence:
             engine.replay_query(query)
         assert counters(engine.stats) == counters(reference)
 
-    def test_device_accounting_matches(self):
-        layout, queries, _ = random_workload(7)
-        ref_device = NVMDevice(num_blocks=layout.num_blocks)
-        bat_device = NVMDevice(num_blocks=layout.num_blocks)
-        reference = replay_table_cache(
-            queries, layout, CacheAllBlockPolicy(), cache_size=32, device=ref_device
-        )
-        batched = replay_table_cache_batched(
-            queries, layout, CacheAllBlockPolicy(), cache_size=32, device=bat_device
-        )
-        assert counters(batched) == counters(reference)
-        assert batched.total_latency_us == reference.total_latency_us
-        assert bat_device.blocks_read == ref_device.blocks_read
+    @pytest.mark.parametrize(
+        "policy_name",
+        ["access-threshold", "cache-all-block", "insert-at-position", "shadow-admission"],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_device_accounting_matches(self, policy_name, seed):
+        """Device counters and per-block histograms equal the reference's.
+
+        Covers batch replay and per-query serving (one ``replay_query`` per
+        query, where the engine charges each query's misses in one device
+        call), at a queue depth whose per-read latency is inexact in binary
+        floating point, so any reordering of the latency sums would show.
+        """
+        layout, queries, access_counts = random_workload(seed)
+        factory = POLICY_FACTORIES[policy_name]
+        for cache_size in (0, 1, 9, None):
+            ref_device = NVMDevice(num_blocks=layout.num_blocks, track_per_block_reads=True)
+            reference = replay_table_cache(
+                queries, layout, factory(access_counts), cache_size=cache_size,
+                device=ref_device, queue_depth=2.3,
+            )
+            for per_query in (False, True):
+                device = NVMDevice(num_blocks=layout.num_blocks, track_per_block_reads=True)
+                if per_query:
+                    engine = BatchReplayEngine(
+                        layout, factory(access_counts), cache_size=cache_size,
+                        device=device, queue_depth=2.3,
+                    )
+                    for query in queries:
+                        engine.replay_query(query)
+                    batched = engine.stats
+                else:
+                    batched = replay_table_cache_batched(
+                        queries, layout, factory(access_counts), cache_size=cache_size,
+                        device=device, queue_depth=2.3,
+                    )
+                case = (policy_name, cache_size, per_query)
+                assert counters(batched, include_latency=True) == counters(
+                    reference, include_latency=True
+                ), case
+                assert device.blocks_read == ref_device.blocks_read, case
+                assert device.mean_read_latency_us == ref_device.mean_read_latency_us, case
+                np.testing.assert_array_equal(
+                    device.per_block_reads, ref_device.per_block_reads, err_msg=str(case)
+                )
+
+    def test_misses_charged_once_per_query(self, monkeypatch):
+        """The engine charges a query's misses in one bulk device call."""
+        layout, queries, access_counts = random_workload(5)
+        calls = []
+        read_blocks = NVMDevice.read_blocks
+
+        def counting_read_blocks(device, block_ids, queue_depth=8.0):
+            calls.append(len(block_ids))
+            return read_blocks(device, block_ids, queue_depth)
+
+        def no_read_block(device, block_id, queue_depth=8.0):
+            raise AssertionError("the engine must not read blocks one at a time")
+
+        monkeypatch.setattr(NVMDevice, "read_blocks", counting_read_blocks)
+        monkeypatch.setattr(NVMDevice, "read_block", no_read_block)
+        for cache_size in (0, 9):
+            calls.clear()
+            device = NVMDevice(num_blocks=layout.num_blocks)
+            engine = BatchReplayEngine(
+                layout, AccessThresholdPolicy(access_counts, 5), cache_size=cache_size,
+                device=device,
+            )
+            for query in queries:
+                engine.replay_query(query)
+            assert len(calls) <= len(queries)
+            assert sum(calls) == engine.stats.misses == device.blocks_read
 
     def test_out_of_range_ids_rejected(self):
         layout = BlockLayout.identity(64, 32)
@@ -352,6 +413,8 @@ class TestStoreBatchedServing:
         reference = simulate_store(reference_store, eval_trace)
         b = batched.per_table["alpha"].stats
         r = reference.per_table["alpha"].stats
+        b.check_invariants()
+        r.check_invariants()
         # Hit/miss/admission/eviction counters are engine-exact; the batched
         # path additionally keeps prefetch attribution across queries, which
         # repeated reference-loop calls forget (see engine docs).

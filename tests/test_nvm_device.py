@@ -100,6 +100,50 @@ class TestNVMDevice:
         # 16 reads at queue depth 8 = 2 serial rounds.
         assert latency == pytest.approx(2 * device.latency_model.mean_latency_us(8))
 
+    def test_read_blocks_out_of_range_charges_nothing(self):
+        device = NVMDevice(num_blocks=8, track_per_block_reads=True)
+        for ids in ([1, 2, 9], [-1, 2]):
+            with pytest.raises(IndexError):
+                device.read_blocks(ids, 4)
+        assert device.blocks_read == 0
+        assert device.mean_read_latency_us == 0
+        assert device.per_block_reads.tolist() == [0] * 8
+
+    def test_read_blocks_bad_depth_charges_nothing(self):
+        device = NVMDevice(num_blocks=8)
+        for depth in (-1, float("nan")):
+            with pytest.raises(ValueError):
+                device.read_blocks([1, 2, 3], queue_depth=depth)
+        assert device.blocks_read == 0
+
+    def test_read_blocks_zero_depth_clamps_to_one(self):
+        device = NVMDevice(num_blocks=8)
+        latency = device.read_blocks([1, 2, 3], queue_depth=0)
+        assert device.blocks_read == 3
+        # Depth 0 behaves as depth 1: one read per serial round.
+        assert latency == 3 * device.latency_model.mean_latency_us(1)
+
+    def test_read_blocks_fractional_depth_rounds_on_clamped_depth(self):
+        device = NVMDevice(num_blocks=8)
+        latency = device.read_blocks([1], queue_depth=0.5)
+        assert latency == device.latency_model.mean_latency_us(1)
+
+    def test_read_blocks_matches_read_block_loop(self):
+        rng = np.random.default_rng(4)
+        ids = rng.integers(0, 16, size=200)
+        looped = NVMDevice(num_blocks=16, track_per_block_reads=True)
+        bulk = NVMDevice(num_blocks=16, track_per_block_reads=True)
+        # A depth whose per-read latency is inexact in binary floating point,
+        # so any reordering or multiplication of the sum would show.
+        for device in (looped, bulk):
+            device.read_block(5, queue_depth=2.3)
+        for block_id in ids.tolist():
+            looped.read_block(block_id, queue_depth=2.3)
+        bulk.read_blocks(ids, queue_depth=2.3)
+        assert bulk.blocks_read == looped.blocks_read
+        assert bulk.mean_read_latency_us == looped.mean_read_latency_us
+        np.testing.assert_array_equal(bulk.per_block_reads, looped.per_block_reads)
+
     def test_write_and_payload_roundtrip(self):
         device = NVMDevice(num_blocks=4, block_bytes=64)
         payload = np.arange(16, dtype=np.float32)

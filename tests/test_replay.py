@@ -126,6 +126,27 @@ class TestReplayStatsDerived:
         with pytest.raises(ValueError):
             ReplayStats(vector_bytes=128).merge(ReplayStats(vector_bytes=64))
 
+    @pytest.mark.parametrize(
+        "fields, law",
+        [
+            (dict(lookups=10, hits=5, misses=4), "lookups"),
+            (dict(prefetch_admitted=3, prefetch_hits=2, prefetch_evicted_unused=2,
+                  evictions=5), "prefetch_hits"),
+            (dict(prefetch_admitted=3, prefetch_evicted_unused=2, evictions=1),
+             "evictions"),
+        ],
+    )
+    def test_check_invariants_names_the_broken_law(self, fields, law):
+        with pytest.raises(ValueError, match=law):
+            ReplayStats(**fields).check_invariants()
+
+    def test_check_invariants_holds_after_replay(self):
+        layout = BlockLayout.identity(64, 8)
+        queries = [np.array([0, 1, 9, 17, 0, 33, 2]), np.array([40, 41, 1])]
+        stats = replay_table_cache(queries, layout, CacheAllBlockPolicy(), cache_size=6)
+        assert stats.prefetch_admitted > 0 and stats.evictions > 0
+        stats.check_invariants()
+
 
 class TestEffectiveBandwidthIncrease:
     def test_half_the_reads_is_100_percent(self):
