@@ -36,6 +36,9 @@ Tracked artifacts:
 * ``BENCH_replay_throughput.json`` — loose only: the whole artifact is
   wall-clock timings, gated through its CI-sized ``smoke_wall_clock``
   section (:mod:`bench_replay_throughput`).
+* ``BENCH_store_replay.json`` — loose only, the same way: the per-request
+  store replay's lookups/s through its ``smoke_wall_clock`` section
+  (:mod:`bench_store_replay`).
 
 Exit status is non-zero on any regression, and every offending metric is
 printed with its committed and fresh values.
@@ -52,6 +55,7 @@ import bench_replay_throughput
 import bench_scenarios
 import bench_serving_latency
 import bench_shared_device
+import bench_store_replay
 
 #: Relative tolerance of the simulated leg (deterministic numbers).
 SIM_RTOL = 0.01
@@ -223,12 +227,25 @@ def check_replay_throughput(problems: List[str]) -> None:
     )
 
 
+def check_store_replay(problems: List[str]) -> None:
+    committed = _load(bench_store_replay.JSON_PATH, "BENCH_store_replay.json", problems)
+    if committed is None:
+        return
+    problems += check_wall_clock(
+        "BENCH_store_replay.json",
+        committed.get("smoke_wall_clock"),
+        bench_store_replay.measure_smoke_wall_clock,
+        "per_request_lookups_per_sec",
+    )
+
+
 def main() -> int:
     problems: List[str] = []
     check_shared_device(problems)
     check_scenarios(problems)
     check_serving_latency(problems)
     check_replay_throughput(problems)
+    check_store_replay(problems)
     if problems:
         print(f"perf-track: {len(problems)} regression(s) against committed artifacts:")
         for problem in problems:

@@ -24,15 +24,17 @@ paper examines:
 * :mod:`repro.caching.allocation` — splitting a DRAM budget across tables
   from their hit-rate curves.
 
-Reference vs. fast path
------------------------
+Reference model vs. engine
+--------------------------
 The package deliberately keeps two implementations of the replay semantics.
 :func:`replay_table_cache` (and the dict+heap :class:`LRUCache` under it) is
 the *reference model*: a readable, per-vector transcription of the paper used
-to define what every counter means.  :func:`replay_table_cache_batched` (and
-:class:`~repro.caching.engine.ArrayLRUCache`) is the *fast path* used by
-serving, tuning and simulation.  The contract — enforced by the equivalence
-test suite — is that both produce bit-identical
+to define what every counter means.  No serving, tuning or simulation path
+selects it; the equivalence tests and the replay-throughput benchmark use it
+as their oracle.  :func:`replay_table_cache_batched` (and
+:class:`~repro.caching.engine.ArrayLRUCache`) is the *engine* that serving,
+tuning and simulation all run on.  The contract — enforced by the
+equivalence test suite — is that both produce bit-identical
 :class:`~repro.caching.replay.ReplayStats` for any trace, policy and cache
 size, so performance work can never silently change the modeled numbers.
 """

@@ -19,7 +19,7 @@ changing replay semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Iterable, List, Optional, Set
 
 import numpy as np
@@ -151,6 +151,25 @@ class ReplayStats:
             + other.prefetch_evicted_unused,
             evictions=self.evictions + other.evictions,
             total_latency_us=self.total_latency_us + other.total_latency_us,
+        )
+
+    def since(self, earlier: "ReplayStats") -> "ReplayStats":
+        """The traffic counted after ``earlier``, a snapshot of these counters.
+
+        Returns a fresh object holding ``self - earlier`` field by field, so
+        a caller can report one replay's traffic without aliasing the live,
+        cumulative stats of the table it ran on.
+        """
+        if (self.vector_bytes, self.block_bytes) != (earlier.vector_bytes, earlier.block_bytes):
+            raise ValueError("cannot diff stats with different vector/block sizes")
+        return ReplayStats(
+            vector_bytes=self.vector_bytes,
+            block_bytes=self.block_bytes,
+            **{
+                f.name: getattr(self, f.name) - getattr(earlier, f.name)
+                for f in fields(self)
+                if f.name not in ("vector_bytes", "block_bytes")
+            },
         )
 
 

@@ -29,7 +29,6 @@ from repro.core.bandana import BandanaStore
 from repro.core.config import ClusterConfig, ServingConfig, TracingConfig
 from repro.serving.arrivals import arrival_times
 from repro.serving.report import LatencySummary
-from repro.simulation.interleaved import iter_store_requests
 from repro.tracing.tracer import Tracer, resolve_tracer
 from repro.workloads.trace import ModelTrace
 
@@ -150,7 +149,7 @@ def run_scenario(
         scenario_name = scenario
     cluster = ClusterStore.from_store(store, config=cluster_config, faults=faults)
 
-    stream = list(iter_store_requests(eval_trace))
+    stream = list(eval_trace.iter_requests())
     warmup = int(warmup_requests)
     requests = stream[warmup:]
     if num_requests is not None:

@@ -12,11 +12,10 @@
    chosen by miniature-cache simulation at the table's assigned cache size.
 4. **Serving** — lookups hit the per-table DRAM cache first; misses read the
    owning 4 KB block from a per-table simulated NVM device and the admission
-   policy decides which of the block's other vectors enter the cache.  With
-   ``config.interleaved_replay``, multi-table requests (:meth:`BandanaStore.lookup_request`)
-   are fanned out across the per-table engines through the interleaved
-   store replayer (:mod:`repro.simulation.interleaved`), whose worker-sharded
-   bulk mode also backs :func:`repro.simulation.simulate_store`.
+   policy decides which of the block's other vectors enter the cache.  Every
+   lookup runs through the table's vectorized batch replay engine
+   (:mod:`repro.caching.engine`); a multi-table request
+   (:meth:`BandanaStore.lookup_request`) is served table by table.
 
 The store keeps all counters needed to report the paper's metrics (effective
 bandwidth, hit rates, device latency, endurance) and can optionally return the
@@ -26,21 +25,20 @@ actual embedding values when built with an :class:`~repro.embeddings.EmbeddingMo
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.caching.allocation import allocate_dram_budget
 from repro.caching.engine import BatchReplayEngine, replay_table_cache_batched
-from repro.caching.lru import LRUCache
 from repro.caching.miniature import MiniatureCacheTuner
 from repro.caching.policies import (
     AccessThresholdPolicy,
     NoPrefetchPolicy,
     PrefetchPolicy,
 )
-from repro.caching.replay import ReplayStats, replay_table_cache
+from repro.caching.replay import ReplayStats
 from repro.caching.stack_distance import HitRateCurve, hit_rate_curve
 from repro.core.config import BandanaConfig, TableCacheConfig
 from repro.core.metrics import CacheStats, EffectiveBandwidth
@@ -57,9 +55,6 @@ from repro.partitioning.shp import SHPPartitioner
 from repro.workloads.characterization import access_counts
 from repro.workloads.trace import ModelTrace, Trace
 
-if TYPE_CHECKING:
-    from repro.simulation.interleaved import InterleavedStoreReplayer
-
 
 @dataclass
 class BandanaTableState:
@@ -67,7 +62,6 @@ class BandanaTableState:
 
     name: str
     layout: BlockLayout
-    cache: LRUCache
     policy: PrefetchPolicy
     device: NVMDevice
     cache_config: TableCacheConfig
@@ -88,7 +82,7 @@ class BandanaTableState:
 
         Extracts the "table spec owned by the cluster" half of this state
         (placement, policy, cache budget, geometry), leaving the node-owned
-        half (this state's cache, device and engine) behind.  The returned
+        half (this state's device and engine) behind.  The returned
         spec mints cold engines bit-identical in behaviour to this table's
         own serving engine — :mod:`repro.cluster` builds one per replica.
         """
@@ -125,9 +119,6 @@ class BandanaStore:
         self.config = config
         self.tables = tables
         self.embedding_model = embedding_model
-        # Lazily-built interleaved request fan-out over the serving engines
-        # (used by lookup_request when config.interleaved_replay is set).
-        self._request_replayer = None
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -213,7 +204,6 @@ class BandanaStore:
             tables[name] = BandanaTableState(
                 name=name,
                 layout=layouts[name],
-                cache=LRUCache(cache_size),
                 policy=policy,
                 device=device,
                 cache_config=TableCacheConfig(
@@ -244,19 +234,7 @@ class BandanaStore:
         state = self._state(table_name)
         ids = np.asarray(vector_ids, dtype=np.int64)
         if ids.size:
-            if self.config.use_batched_engine:
-                self._engine(state).replay_query(ids)
-            else:
-                replay_table_cache(
-                    [ids],
-                    state.layout,
-                    state.policy,
-                    cache=state.cache,
-                    vector_bytes=self.config.vector_bytes,
-                    device=state.device,
-                    queue_depth=self.config.queue_depth,
-                    stats=state.stats,
-                )
+            self._engine(state).replay_query(ids)
         return self._gather(table_name, ids) if gather else None
 
     def lookup_batch(
@@ -272,28 +250,11 @@ class BandanaStore:
         """
         state = self._state(table_name)
         id_arrays = [np.asarray(ids, dtype=np.int64) for ids in queries]
-        if self.config.use_batched_engine:
-            engine = self._engine(state)
-            non_empty = [ids for ids in id_arrays if ids.size]
-            if non_empty:
-                engine.replay_query(
-                    np.concatenate(non_empty) if len(non_empty) > 1 else non_empty[0]
-                )
-        else:
-            # One reference-loop call per query, exactly like lookup(), so the
-            # two APIs stay counter-for-counter equivalent on this path too.
-            for ids in id_arrays:
-                if ids.size:
-                    replay_table_cache(
-                        [ids],
-                        state.layout,
-                        state.policy,
-                        cache=state.cache,
-                        vector_bytes=self.config.vector_bytes,
-                        device=state.device,
-                        queue_depth=self.config.queue_depth,
-                        stats=state.stats,
-                    )
+        non_empty = [ids for ids in id_arrays if ids.size]
+        if non_empty:
+            self._engine(state).replay_query(
+                np.concatenate(non_empty) if len(non_empty) > 1 else non_empty[0]
+            )
         if gather and self.embedding_model is not None and table_name in self.embedding_model:
             table = self.embedding_model[table_name]
             return [table.gather(ids) for ids in id_arrays]
@@ -304,24 +265,11 @@ class BandanaStore:
     ) -> Dict[str, Optional[np.ndarray]]:
         """Serve one multi-table request (mapping table name → ids).
 
-        With ``config.interleaved_replay`` the request is fanned out across
-        the per-table serving engines through one
-        :class:`~repro.simulation.interleaved.InterleavedStoreReplayer`
-        (counter-for-counter identical to the per-table loop — see the
-        schedule-equivalence invariant in
-        :mod:`repro.simulation.interleaved`); otherwise each table is
-        served by :meth:`lookup` in turn.  ``gather=False`` skips the
-        embedding gathers (counters-only serving).
+        Each table is served by :meth:`lookup` in turn; per-table replay
+        state is independent, so the counters equal one
+        :meth:`lookup_batch` per table over the same queries.
+        ``gather=False`` skips the embedding gathers (counters-only serving).
         """
-        if self.config.interleaved_replay:
-            arrays = {
-                name: np.asarray(ids, dtype=np.int64) for name, ids in request.items()
-            }
-            self._interleaved_replayer().replay_request(arrays)
-            return {
-                name: self._gather(name, ids) if gather else None
-                for name, ids in arrays.items()
-            }
         return {
             name: self.lookup(name, ids, gather=gather)
             for name, ids in request.items()
@@ -413,19 +361,13 @@ class BandanaStore:
             )
         state.layout = layout
         if state.engine is not None:
-            if retain_cache:
-                state.engine.swap_layout(layout)
-            else:
+            if not retain_cache:
                 state.engine.reset()
-                state.engine.swap_layout(layout)
-        if not retain_cache:
-            state.cache.clear()
-        self._request_replayer = None  # rebound to the swapped engines on demand
+            state.engine.swap_layout(layout)
 
     def reset_serving_state(self) -> None:
         """Clear caches and counters (placement and thresholds are kept)."""
         for state in self.tables.values():
-            state.cache.clear()
             state.policy.reset()
             state.device.reset_counters()
             state.stats = ReplayStats(
@@ -433,7 +375,6 @@ class BandanaStore:
                 block_bytes=self.config.vectors_per_block * self.config.vector_bytes,
             )
             state.engine = None  # rebuilt lazily against the fresh stats
-        self._request_replayer = None  # rebound to the fresh engines on demand
 
     # ------------------------------------------------------------- baselines
     def baseline_block_reads(self, eval_trace: ModelTrace) -> int:
@@ -444,14 +385,9 @@ class BandanaStore:
         *increase* of the store.
         """
         total = 0
-        replay = (
-            replay_table_cache_batched
-            if self.config.use_batched_engine
-            else replay_table_cache
-        )
         for name, trace in eval_trace.items():
             state = self._state(name)
-            stats = replay(
+            stats = replay_table_cache_batched(
                 trace.queries,
                 state.layout,
                 NoPrefetchPolicy(),
@@ -461,50 +397,6 @@ class BandanaStore:
             total += stats.block_reads
         return total
 
-    def serving_engine(self, table_name: str) -> BatchReplayEngine:
-        """The table's batched serving engine (created on first use).
-
-        Public accessor for callers that drive the engines directly — the
-        interleaved store replay builds its per-table tasks from these, so
-        a replay continues exactly where serving left off.
-        """
-        if not self.config.use_batched_engine:
-            raise ValueError(
-                "serving engines exist only when config.use_batched_engine is set"
-            )
-        return self._engine(self._state(table_name))
-
-    def adopt_engine(self, table_name: str, engine: BatchReplayEngine) -> None:
-        """Install an engine replayed elsewhere (e.g. in a worker process).
-
-        Rebinds the table's stats, policy and device to the engine's so the
-        store's observable state — counters, cache contents, policy state,
-        device accounting — is exactly what in-process serving would have
-        produced, and drops the interleaved request fan-out so it is
-        rebuilt over the adopted engines.
-        """
-        state = self._state(table_name)
-        if (engine.stats.vector_bytes, engine.stats.block_bytes) != (
-            state.stats.vector_bytes,
-            state.stats.block_bytes,
-        ):
-            raise ValueError("adopted engine has a different stats geometry")
-        state.engine = engine
-        state.stats = engine.stats
-        state.policy = engine.policy
-        if engine.device is not None:
-            state.device = engine.device
-        # A policy that crossed a process boundary carries its own copy of
-        # the table's access counts; re-point it at the store's array to
-        # restore the build-time aliasing (no duplicate memory, and in-place
-        # updates to state.access_counts keep steering admissions).
-        adopted_counts = getattr(state.policy, "access_counts", None)
-        if adopted_counts is not None and np.array_equal(
-            adopted_counts, state.access_counts
-        ):
-            state.policy.access_counts = state.access_counts
-        self._request_replayer = None
-
     # ----------------------------------------------------------------- private
     def _gather(self, table_name: str, ids: np.ndarray) -> Optional[np.ndarray]:
         """Embedding values for ``ids``, or ``None`` in counting-only mode."""
@@ -512,25 +404,11 @@ class BandanaStore:
             return self.embedding_model[table_name].gather(ids)
         return None
 
-    def _interleaved_replayer(self) -> "InterleavedStoreReplayer":
-        """The store-wide interleaved request fan-out (created on first use)."""
-        if self._request_replayer is None:
-            # Imported here: repro.simulation imports this module at package
-            # init, so a top-level import would be circular.
-            from repro.simulation.interleaved import InterleavedStoreReplayer
-
-            self._request_replayer = InterleavedStoreReplayer(
-                {name: self._engine(state) for name, state in self.tables.items()}
-            )
-        return self._request_replayer
-
     def _engine(self, state: BandanaTableState) -> BatchReplayEngine:
         """The table's batched serving engine, created on first use.
 
-        The engine shares the table's ``stats`` object and device, so all
-        counters accumulate exactly as on the reference path.  Serving must
-        stay on one path per reset: the engine's array cache and the legacy
-        ``state.cache`` are separate residency states.
+        The engine shares the table's ``stats`` object and device, so its
+        counters are the table's counters.
         """
         if state.engine is None:
             state.engine = BatchReplayEngine(

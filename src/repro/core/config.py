@@ -444,28 +444,6 @@ class BandanaConfig:
         Queue depth assumed for NVM latency accounting.
     seed:
         Base random seed for all stochastic components.
-    use_batched_engine:
-        Serve lookups through the vectorized batch replay engine
-        (:mod:`repro.caching.engine`).  The engine is bit-identical to the
-        reference loop; ``False`` keeps serving on the reference path.
-    interleaved_replay:
-        Replay store-level request streams interleaved across tables (one
-        pass over the request stream, fanning each request's ids out to all
-        tables) instead of table-by-table, and serve ``lookup_request``
-        through the interleaved fan-out path.  Counters are bit-identical
-        either way (see :mod:`repro.simulation.interleaved`); requires
-        ``use_batched_engine``.
-    num_workers:
-        Worker processes for interleaved store replay: tables are sharded
-        across this many processes by lookup volume.  ``1`` replays inline
-        in the calling process.
-    chunk_requests:
-        Requests accumulated per table between engine flushes during
-        interleaved replay (see
-        :data:`repro.simulation.interleaved.DEFAULT_CHUNK_REQUESTS`; the
-        literal ``64`` here must match it — config cannot import the
-        simulation package without a cycle).  Counters are bit-identical
-        for every value; this is purely a throughput knob.
     serving:
         Batch-serving front-end configuration consumed by
         :func:`repro.serving.simulate_serving` (arrival process, batching
@@ -493,10 +471,6 @@ class BandanaConfig:
     candidate_thresholds: Sequence[float] = (0, 25, 50, 100, 200, 400)
     queue_depth: float = 8.0
     seed: int = 0
-    use_batched_engine: bool = True
-    interleaved_replay: bool = False
-    num_workers: int = 1
-    chunk_requests: int = 64
     serving: ServingConfig = ServingConfig()
     cluster: ClusterConfig = ClusterConfig()
     tracing: TracingConfig = TracingConfig()
@@ -508,19 +482,12 @@ class BandanaConfig:
         check_positive(self.shp_iterations, "shp_iterations")
         check_positive(self.kmeans_clusters, "kmeans_clusters")
         check_positive(self.queue_depth, "queue_depth")
-        check_int_at_least(self.num_workers, 1, "num_workers")
-        check_int_at_least(self.chunk_requests, 1, "chunk_requests")
         check_fraction(self.mini_cache_sampling_rate, "mini_cache_sampling_rate")
         check_bool(self.tune_thresholds, "tune_thresholds")
         check_seed(self.seed, "seed")
         check_instance(self.serving, ServingConfig, "serving")
         check_instance(self.cluster, ClusterConfig, "cluster")
         check_instance(self.tracing, TracingConfig, "tracing")
-        if self.interleaved_replay and not self.use_batched_engine:
-            raise ValueError(
-                "interleaved_replay requires use_batched_engine (the reference "
-                "loop has no interleaved serving path)"
-            )
         if self.block_bytes % self.vector_bytes != 0:
             raise ValueError(
                 "block_bytes must be a multiple of vector_bytes "

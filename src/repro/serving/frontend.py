@@ -82,8 +82,8 @@ def simulate_serving(
     store:
         A built :class:`~repro.core.bandana.BandanaStore`.
     eval_trace:
-        Per-table queries, zipped into multi-table requests exactly like
-        :func:`repro.simulation.interleaved.iter_store_requests` (request
+        Per-table queries, zipped into multi-table requests by
+        :meth:`~repro.workloads.trace.ModelTrace.iter_requests` (request
         ``i`` reads every table's ``i``-th query).
     config:
         Serving knobs; defaults to ``store.config.serving``.  Beyond the
@@ -123,11 +123,10 @@ def simulate_serving(
         ``request.shed`` marker instead of device spans) and the report
         carries the tracer's JSON summary in ``report.trace``.  Tracing
         never changes behavior.
-    """
-    # Imported here: repro.simulation imports this package at init time, so
-    # a module-level import would be circular (same pattern as bandana.py).
-    from repro.simulation.interleaved import iter_store_requests
 
+    Every returned report has passed
+    :meth:`~repro.serving.report.ServingReport.check_invariants`.
+    """
     config = config or store.config.serving
     if config.arrival_process == "closed-loop" and cluster is not None:
         raise ValueError(
@@ -143,7 +142,7 @@ def simulate_serving(
             cluster.reset_serving_state()
         else:
             store.reset_serving_state()
-    requests = list(iter_store_requests(eval_trace))
+    requests = list(eval_trace.iter_requests())
     if num_requests is not None:
         requests = requests[: int(num_requests)]
     n = len(requests)
@@ -721,7 +720,7 @@ def _assemble_report(
             queue_depth=store.config.queue_depth,
         )
 
-    return ServingReport(
+    report = ServingReport(
         num_requests=n,
         num_batches=num_batches,
         offered_rate_rps=offered_rate_rps,
@@ -748,6 +747,8 @@ def _assemble_report(
         steady_state=steady_state,
         trace=tracer.summary() if tracer.enabled else None,
     )
+    report.check_invariants()
+    return report
 
 
 def _simulate_cluster_serving(
@@ -795,7 +796,7 @@ def _simulate_cluster_serving(
     blocks_read = stats_after.misses - stats_before.misses
     makespan_us = last_completion_us - (float(arrival_us[0]) if n else 0.0)
     makespan_s = makespan_us / 1e6
-    return ServingReport(
+    report = ServingReport(
         num_requests=n,
         num_batches=len(batches),
         offered_rate_rps=config.arrival_rate_rps,
@@ -814,3 +815,5 @@ def _simulate_cluster_serving(
         hit_rate=hits / lookups if lookups else 0.0,
         trace=tracer.summary() if tracer.enabled else None,
     )
+    report.check_invariants()
+    return report

@@ -178,6 +178,52 @@ class ServingReport:
             return 0.0
         return self.requests_shed / self.num_requests
 
+    def check_invariants(self) -> None:
+        """Raise ``ValueError`` naming every conservation law the report breaks.
+
+        Every request sits in exactly one batch and has one latency sample;
+        shed requests and SLO violations are subsets of the requests; every
+        lookup is a DRAM hit or one block read; the peak queue depth is at
+        least the mean.
+        """
+        violations: List[str] = []
+        batches = sum(self.batch_size_hist.values())
+        if batches != self.num_batches:
+            violations.append(
+                f"batch_size_hist counts {batches} batches != num_batches "
+                f"({self.num_batches})"
+            )
+        batched = sum(size * count for size, count in self.batch_size_hist.items())
+        if batched != self.num_requests:
+            violations.append(
+                f"batch_size_hist holds {batched} requests != num_requests "
+                f"({self.num_requests})"
+            )
+        if self.latency.samples != self.num_requests:
+            violations.append(
+                f"latency.samples ({self.latency.samples}) != num_requests "
+                f"({self.num_requests})"
+            )
+        for name in ("requests_shed", "slo_violations"):
+            value = getattr(self, name)
+            if not 0 <= value <= self.num_requests:
+                violations.append(
+                    f"{name} ({value}) outside [0, num_requests={self.num_requests}]"
+                )
+        hits = round(self.hit_rate * self.lookups)
+        if hits + self.blocks_read != self.lookups:
+            violations.append(
+                f"hits ({hits}) + blocks_read ({self.blocks_read}) != lookups "
+                f"({self.lookups})"
+            )
+        if self.max_queue_depth < self.mean_queue_depth:
+            violations.append(
+                f"max_queue_depth ({self.max_queue_depth}) < mean_queue_depth "
+                f"({self.mean_queue_depth})"
+            )
+        if violations:
+            raise ValueError("ServingReport invariants violated: " + "; ".join(violations))
+
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready rendering (used by the benchmark artifacts)."""
         return {

@@ -4,11 +4,9 @@ The paper's figures are all produced by replaying an evaluation trace against
 some configuration of placement + cache + policy and comparing NVM block reads
 against the no-prefetch baseline.  :func:`repro.simulation.simulate_table`
 does that for one table (Figures 6–12), :func:`repro.simulation.simulate_store`
-for a full :class:`~repro.core.bandana.BandanaStore` (Figures 13–16) — either
-table-by-table or interleaved across tables with optional worker-process
-sharding (:mod:`repro.simulation.interleaved`) — and
-:mod:`repro.simulation.report` renders the results as the text tables the
-benchmark harnesses print.  :func:`repro.simulation.simulate_serving`
+for a full :class:`~repro.core.bandana.BandanaStore` (Figures 13–16), table
+by table through the store's serving path, and :mod:`repro.simulation.report`
+renders the results as the text tables the benchmark harnesses print.  :func:`repro.simulation.simulate_serving`
 (implemented in :mod:`repro.serving`) re-times the same store replay on a
 simulated clock under an open-loop arrival process and reports end-to-end
 latency percentiles instead of raw counters.
@@ -20,18 +18,6 @@ from repro.simulation.runner import (
     simulate_table,
     simulate_store,
     unlimited_cache_bandwidth_increase,
-)
-from repro.simulation.interleaved import (
-    DEFAULT_CHUNK_REQUESTS,
-    InterleavedStoreReplayer,
-    TableReplayResult,
-    TableReplayTask,
-    baseline_stats_for,
-    iter_store_requests,
-    merge_replay_stats,
-    replay_store_interleaved,
-    shard_tasks,
-    unlimited_noprefetch_stats,
 )
 from repro.simulation.experiment import ExperimentRecord, ExperimentSweep
 from repro.simulation.report import format_table, format_percent, format_series
@@ -46,16 +32,6 @@ __all__ = [
     "simulate_serving",
     "ServingReport",
     "unlimited_cache_bandwidth_increase",
-    "DEFAULT_CHUNK_REQUESTS",
-    "InterleavedStoreReplayer",
-    "TableReplayResult",
-    "TableReplayTask",
-    "baseline_stats_for",
-    "iter_store_requests",
-    "merge_replay_stats",
-    "replay_store_interleaved",
-    "shard_tasks",
-    "unlimited_noprefetch_stats",
     "ExperimentRecord",
     "ExperimentSweep",
     "format_table",

@@ -197,6 +197,19 @@ class ModelTrace:
             return {name: 0.0 for name in self.tables}
         return {name: trace.num_lookups / total for name, trace in self.tables.items()}
 
+    def iter_requests(self) -> Iterator[Dict[str, np.ndarray]]:
+        """Zip the per-table traces into a stream of multi-table requests.
+
+        Request ``i`` maps each table name to that table's ``i``-th query;
+        tables with fewer queries simply drop out of later requests.  This is
+        the representative store-level request stream: one production request
+        reads from every table at once.
+        """
+        tables = [(name, trace.queries) for name, trace in self.tables.items()]
+        num_requests = max((len(queries) for _, queries in tables), default=0)
+        for i in range(num_requests):
+            yield {name: queries[i] for name, queries in tables if i < len(queries)}
+
     def split(self, fraction: float) -> Tuple["ModelTrace", "ModelTrace"]:
         """Split every table's trace at the same fraction."""
         heads, tails = {}, {}

@@ -9,7 +9,7 @@ from repro.embeddings import EmbeddingModel, EmbeddingTable, synthesize_topic_ve
 from repro.simulation.runner import simulate_store
 from repro.workloads import SyntheticTraceGenerator
 from repro.workloads.trace import ModelTrace
-from tests.conftest import make_spec
+from tests.conftest import build_store, counters, make_spec
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +118,10 @@ class TestServing:
         out = built_store.lookup_request({"alpha": [1], "beta": [2, 3]})
         assert out["alpha"].shape == (1, 16)
         assert out["beta"].shape == (2, 16)
+
+    def test_lookup_request_unknown_table(self, built_store):
+        with pytest.raises(KeyError):
+            built_store.lookup_request({"no-such-table": [0]})
 
     def test_pooled_features_shape(self, built_store):
         built_store.reset_serving_state()
@@ -255,3 +259,34 @@ class TestEndToEndBandwidth:
         # The baseline policy's effective bandwidth is vector/block = 1/32; a
         # working Bandana configuration must do better.
         assert bandwidth.fraction > 128 / 4096
+
+
+class TestRequestServing:
+    """``lookup_request`` over a zipped multi-table stream, on every policy."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_lookup_request_matches_per_table_lookup_batch(self, seed):
+        request_store, trace = build_store(seed)
+        batch_store, _ = build_store(seed)
+        for request in trace.iter_requests():
+            request_store.lookup_request(request)
+        for name, table_trace in trace.items():
+            batch_store.lookup_batch(name, table_trace.queries)
+        for name in trace:
+            request_state = request_store.tables[name]
+            batch_state = batch_store.tables[name]
+            assert counters(request_state.stats) == counters(batch_state.stats), name
+            assert request_state.engine.cache.keys() == batch_state.engine.cache.keys()
+            assert request_state.device.blocks_read == batch_state.device.blocks_read
+
+    def test_reset_serves_a_clean_slate(self):
+        store, trace = build_store(8)
+        requests = list(trace.iter_requests())
+        for request in requests:
+            store.lookup_request(request)
+        first = {name: counters(store.tables[name].stats) for name in trace}
+        store.reset_serving_state()
+        assert store.aggregate_stats().lookups == 0
+        for request in requests:
+            store.lookup_request(request)
+        assert {name: counters(store.tables[name].stats) for name in trace} == first

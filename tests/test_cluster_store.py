@@ -11,8 +11,6 @@ recovered nodes restart cold.  Every run is a pure function of
 import numpy as np
 import pytest
 
-from test_interleaved_equivalence import build_store
-
 from repro.cluster import (
     ClusterStore,
     DegradedLink,
@@ -23,6 +21,7 @@ from repro.cluster import (
     sweep_scenarios,
 )
 from repro.core.config import ClusterConfig, ServingConfig
+from tests.conftest import build_store
 
 #: Scenario window tuned to the ~0.05 s makespan of the seed traces
 #: (106 requests at the default 2000 rps).

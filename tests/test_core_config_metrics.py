@@ -96,21 +96,20 @@ class TestLatencyStats:
 
 
 class TestConfigKnobValidation:
-    """The worker/chunk/serving/cluster knobs fail loudly at construction."""
+    """The store/serving/cluster knobs fail loudly at construction."""
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"num_workers": 0},
-            {"chunk_requests": 0},
             {"vector_bytes": 0},
+            {"block_bytes": 0},
         ],
     )
     def test_bandana_rejects_non_positive_counts(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             BandanaConfig(**kwargs)
 
-    @pytest.mark.parametrize("kwargs", [{"num_workers": 2.5}, {"chunk_requests": True}])
+    @pytest.mark.parametrize("kwargs", [{"vector_bytes": 2.5}, {"block_bytes": True}])
     def test_bandana_rejects_non_integer_counts(self, kwargs):
         with pytest.raises(TypeError, match=next(iter(kwargs))):
             BandanaConfig(**kwargs)

@@ -27,9 +27,14 @@ from repro.caching.policies import (
     NoPrefetchPolicy,
     ShadowAdmissionPolicy,
 )
-from repro.caching.replay import ReplayStats, replay_table_cache
+from repro.caching.replay import (
+    ReplayStats,
+    effective_bandwidth_increase,
+    replay_table_cache,
+)
 from repro.nvm.block import BlockLayout
 from repro.nvm.device import NVMDevice
+from repro.utils.sampling import sample_queries_spatially
 from repro.workloads.trace import Trace
 
 
@@ -229,18 +234,37 @@ class TestMiniatureTunerEquivalence:
     def test_single_pass_matches_reference_loop(self):
         layout, queries, access_counts = random_workload(11)
         trace = Trace(queries, num_vectors=layout.num_vectors)
+        thresholds = (0, 5, 12)
         batched = MiniatureCacheTuner(
-            sampling_rate=0.4, seed=2, thresholds=(0, 5, 12), use_batched_engine=True
+            sampling_rate=0.4, seed=2, thresholds=thresholds
         ).select_threshold(trace, layout, access_counts, cache_size=60)
-        reference = MiniatureCacheTuner(
-            sampling_rate=0.4, seed=2, thresholds=(0, 5, 12), use_batched_engine=False
-        ).select_threshold(trace, layout, access_counts, cache_size=60)
-        assert batched.threshold == reference.threshold
-        assert batched.gains == reference.gains
-        assert counters(batched.baseline_stats) == counters(reference.baseline_stats)
-        for threshold in (0, 5, 12):
+        # The reference: one reference-loop replay per policy over the same
+        # spatially sampled stream and the same scaled-down cache.
+        sampled = sample_queries_spatially(queries, 0.4, seed=2)
+        mini_cache_size = max(1, round(60 * 0.4))
+        reference_baseline = replay_table_cache(
+            sampled, layout, NoPrefetchPolicy(), cache_size=mini_cache_size
+        )
+        reference_stats = {
+            threshold: replay_table_cache(
+                sampled,
+                layout,
+                AccessThresholdPolicy(access_counts, threshold),
+                cache_size=mini_cache_size,
+            )
+            for threshold in thresholds
+        }
+        reference_gains = {
+            threshold: effective_bandwidth_increase(reference_baseline, stats)
+            for threshold, stats in reference_stats.items()
+        }
+        assert batched.miniature_cache_size == mini_cache_size
+        assert batched.threshold == max(thresholds, key=reference_gains.__getitem__)
+        assert batched.gains == reference_gains
+        assert counters(batched.baseline_stats) == counters(reference_baseline)
+        for threshold in thresholds:
             assert counters(batched.per_threshold_stats[threshold]) == counters(
-                reference.per_threshold_stats[threshold]
+                reference_stats[threshold]
             )
 
     def test_hoisted_sampling_matches_per_size_runs(self):
@@ -374,10 +398,10 @@ class TestArrayLRUCacheEdgeCases:
 
 
 class TestStoreBatchedServing:
-    """The store's batched serving path equals the reference serving path."""
+    """The store's engine-backed serving equals the reference loop."""
 
     @staticmethod
-    def _build_store(use_batched_engine):
+    def _build_store():
         from repro.core.bandana import BandanaStore
         from repro.core.config import BandanaConfig
         from repro.workloads.trace import ModelTrace
@@ -393,7 +417,6 @@ class TestStoreBatchedServing:
             total_cache_vectors=96,
             tune_thresholds=False,
             default_threshold=1.0,
-            use_batched_engine=use_batched_engine,
         )
         eval_queries = [
             rng.integers(0, 512, size=int(rng.integers(2, 10))).astype(np.int64)
@@ -407,12 +430,39 @@ class TestStoreBatchedServing:
     def test_simulate_store_matches_reference_path(self):
         from repro.simulation.runner import simulate_store
 
-        batched_store, eval_trace = self._build_store(True)
-        reference_store, _ = self._build_store(False)
+        batched_store, eval_trace = self._build_store()
         batched = simulate_store(batched_store, eval_trace)
-        reference = simulate_store(reference_store, eval_trace)
         b = batched.per_table["alpha"].stats
-        r = reference.per_table["alpha"].stats
+
+        # The reference: an identically built store's table, served one
+        # reference-loop call per query over one shared LRU cache.
+        reference_store, _ = self._build_store()
+        state = reference_store.tables["alpha"]
+        config = reference_store.config
+        queries = eval_trace["alpha"].queries
+        cache = LRUCache(state.cache_config.cache_size_vectors)
+        r = ReplayStats(
+            vector_bytes=config.vector_bytes,
+            block_bytes=config.vectors_per_block * config.vector_bytes,
+        )
+        for query in queries:
+            replay_table_cache(
+                [query],
+                state.layout,
+                state.policy,
+                cache=cache,
+                vector_bytes=config.vector_bytes,
+                device=state.device,
+                queue_depth=config.queue_depth,
+                stats=r,
+            )
+        reference_baseline = replay_table_cache(
+            queries,
+            state.layout,
+            NoPrefetchPolicy(),
+            cache_size=state.cache_config.cache_size_vectors,
+            vector_bytes=config.vector_bytes,
+        )
         b.check_invariants()
         r.check_invariants()
         # Hit/miss/admission/eviction counters are engine-exact; the batched
@@ -421,10 +471,10 @@ class TestStoreBatchedServing:
         assert (b.lookups, b.hits, b.misses, b.prefetch_admitted, b.evictions) == (
             r.lookups, r.hits, r.misses, r.prefetch_admitted, r.evictions
         )
-        assert batched.total_baseline_block_reads == reference.total_baseline_block_reads
+        assert batched.total_baseline_block_reads == reference_baseline.block_reads
 
     def test_lookup_batch_matches_per_query_lookups(self):
-        store, eval_trace = self._build_store(True)
+        store, eval_trace = self._build_store()
         queries = eval_trace["alpha"].queries
         store.lookup_batch("alpha", queries)
         batched = counters(store.tables["alpha"].stats)

@@ -5,9 +5,7 @@ cache-all-block prefetch — the configuration behind the paper's store-wide
 placement numbers) is built from fixed seeds and replayed; every counter the
 replay produces is pinned to the values frozen below.  Any silent drift in
 the trace generator, the SHP partitioner, the replay engine or the store
-plumbing fails tier-1 here — and because the goldens are asserted for the
-table-sequential *and* the interleaved sharded schedule, so does any
-divergence between the two replay paths.
+plumbing fails tier-1 here.
 
 If a change intentionally alters replay semantics, re-derive the goldens by
 running the builder below and update the frozen values in the same commit,
@@ -17,7 +15,6 @@ explaining why the numbers moved.
 import numpy as np
 import pytest
 
-from repro.caching.lru import LRUCache
 from repro.caching.policies import CacheAllBlockPolicy
 from repro.caching.replay import ReplayStats
 from repro.core.bandana import BandanaStore, BandanaTableState
@@ -88,9 +85,9 @@ def build_golden_store():
         tables[name] = BandanaTableState(
             name=name,
             layout=layout,
-            cache=LRUCache(spec.num_vectors),  # unlimited: placement study
             policy=CacheAllBlockPolicy(),
             device=NVMDevice(num_blocks=layout.num_blocks, block_bytes=4096),
+            # Unlimited cache: the placement study.
             cache_config=TableCacheConfig(cache_size_vectors=spec.num_vectors),
             access_counts=np.zeros(spec.num_vectors, dtype=np.int64),
             stats=ReplayStats(vector_bytes=128, block_bytes=4096),
@@ -103,19 +100,9 @@ def candidate_counters(stats: ReplayStats):
     return stats.counters()
 
 
-@pytest.mark.parametrize(
-    "schedule",
-    ["table-sequential", "interleaved-1w", "interleaved-2w"],
-)
-def test_golden_store_counters(schedule):
+def test_golden_store_counters():
     store, eval_trace = build_golden_store()
-    if schedule == "table-sequential":
-        result = simulate_store(store, eval_trace)
-    else:
-        workers = int(schedule.rsplit("-", 1)[1][:-1])
-        result = simulate_store(
-            store, eval_trace, interleaved=True, num_workers=workers
-        )
+    result = simulate_store(store, eval_trace)
     for name in SPECS:
         table = result.per_table[name]
         assert candidate_counters(table.stats) == GOLDEN_CANDIDATE[name], name

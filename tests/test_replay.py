@@ -126,6 +126,18 @@ class TestReplayStatsDerived:
         with pytest.raises(ValueError):
             ReplayStats(vector_bytes=128).merge(ReplayStats(vector_bytes=64))
 
+    def test_since_is_a_fresh_difference(self):
+        earlier = ReplayStats(lookups=10, hits=6, misses=4, total_latency_us=2.5)
+        later = ReplayStats(lookups=25, hits=16, misses=9, total_latency_us=4.0)
+        delta = later.since(earlier)
+        assert delta.counters(include_latency=True) == (15, 10, 5, 0, 0, 0, 0, 1.5)
+        assert delta is not later and later.lookups == 25
+        assert earlier.merge(delta).counters() == later.counters()
+
+    def test_since_geometry_mismatch(self):
+        with pytest.raises(ValueError):
+            ReplayStats(vector_bytes=128).since(ReplayStats(vector_bytes=64))
+
     @pytest.mark.parametrize(
         "fields, law",
         [

@@ -7,6 +7,7 @@ percentiles (the simulated clock is deterministic, so they are bit-stable).
 """
 
 import os
+import re
 import sys
 
 if __package__ in (None, ""):  # direct script run (golden regeneration)
@@ -22,6 +23,8 @@ from repro import BandanaConfig, BandanaStore, ServingConfig
 from repro.nvm.latency import NVMLatencyModel
 from repro.serving import (
     DeviceLatencyAccountant,
+    LatencySummary,
+    ServingReport,
     arrival_times,
     form_batches,
     mmpp_arrival_times,
@@ -315,6 +318,61 @@ class TestSimulateServing:
         assert report.num_batches == golden["num_batches"]
         assert report.blocks_read == golden["blocks_read"]
         assert report.slo_violations == golden["slo_violations"]
+
+
+def _consistent_report(**overrides):
+    """A hand-built report that satisfies every conservation law."""
+    fields = dict(
+        num_requests=4,
+        num_batches=3,
+        offered_rate_rps=1000.0,
+        throughput_rps=900.0,
+        makespan_s=0.004,
+        latency=LatencySummary(100.0, 200.0, 300.0, 300.0, 150.0, 300.0, samples=4),
+        slo_latency_us=250.0,
+        slo_violations=1,
+        mean_batch_size=4 / 3,
+        batch_size_hist={1: 2, 2: 1},
+        mean_queue_depth=1.5,
+        max_queue_depth=3.0,
+        blocks_read=3,
+        lookups=10,
+        hit_rate=0.7,
+    )
+    fields.update(overrides)
+    return ServingReport(**fields)
+
+
+class TestServingReportInvariants:
+    def test_consistent_report_passes(self):
+        _consistent_report().check_invariants()
+
+    @pytest.mark.parametrize(
+        "overrides, law",
+        [
+            (dict(num_batches=4), "num_batches"),
+            (dict(batch_size_hist={1: 1, 2: 1, 3: 1}), "batch_size_hist holds"),
+            (
+                dict(latency=LatencySummary(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, samples=3)),
+                "latency.samples",
+            ),
+            (dict(requests_shed=5), "requests_shed"),
+            (dict(requests_shed=-1), "requests_shed"),
+            (dict(slo_violations=5), "slo_violations"),
+            (dict(blocks_read=4), "blocks_read"),
+            (dict(max_queue_depth=1.0), "max_queue_depth"),
+        ],
+    )
+    def test_each_broken_law_is_named(self, overrides, law):
+        with pytest.raises(ValueError, match=re.escape(law)):
+            _consistent_report(**overrides).check_invariants()
+
+    def test_every_broken_law_is_reported(self):
+        report = _consistent_report(num_batches=4, blocks_read=4)
+        with pytest.raises(ValueError) as raised:
+            report.check_invariants()
+        assert "num_batches" in str(raised.value)
+        assert "blocks_read" in str(raised.value)
 
 
 #: Frozen output of test_seeded_golden_percentiles's configuration.  These

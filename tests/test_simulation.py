@@ -12,10 +12,12 @@ from repro.nvm.block import BlockLayout
 from repro.simulation.experiment import ExperimentRecord, ExperimentSweep
 from repro.simulation.report import format_percent, format_series, format_table
 from repro.simulation.runner import (
+    simulate_store,
     simulate_table,
     unlimited_cache_bandwidth_increase,
 )
 from repro.workloads.characterization import access_counts
+from tests.conftest import build_store, counters
 
 
 class TestSimulateTable:
@@ -59,6 +61,36 @@ class TestSimulateTable:
         )
         assert cache_all.bandwidth_increase < 0
         assert filtered.bandwidth_increase > cache_all.bandwidth_increase
+
+
+class TestSimulateStore:
+    """Each result holds only its own call's traffic, never the live stats."""
+
+    def test_warm_replay_reports_only_its_own_traffic(self):
+        store, trace = build_store(2)
+        cold = simulate_store(store, trace)
+        cold_counters = {name: counters(r.stats) for name, r in cold.per_table.items()}
+        warm = simulate_store(store, trace, reset_first=False)
+        for name, table_trace in trace.items():
+            lookups = table_trace.num_lookups
+            state = store.tables[name]
+            # The warm run's candidate counts the same traffic as its baseline.
+            assert warm.per_table[name].stats.lookups == lookups, name
+            assert warm.per_table[name].baseline_stats.lookups == lookups, name
+            # The earlier result is not rewritten by the later replay.
+            assert counters(cold.per_table[name].stats) == cold_counters[name], name
+            # Together the two calls account for everything the table served.
+            total = cold.per_table[name].stats.merge(warm.per_table[name].stats)
+            assert total.counters() == state.stats.counters(), name
+
+    def test_later_serving_leaves_the_result_unchanged(self):
+        store, trace = build_store(2)
+        result = simulate_store(store, trace)
+        name = next(iter(trace))
+        before = counters(result.per_table[name].stats)
+        assert result.per_table[name].stats is not store.tables[name].stats
+        store.lookup(name, trace[name].queries[0])
+        assert counters(result.per_table[name].stats) == before
 
 
 class TestExperimentSweep:

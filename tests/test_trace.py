@@ -143,3 +143,22 @@ class TestModelTrace:
         loaded = ModelTrace.load(str(tmp_path))
         assert set(loaded.tables) == {"a", "b"}
         assert loaded["a"] == model["a"]
+
+
+class TestRequestStream:
+    def test_zips_ragged_tables(self):
+        trace = ModelTrace(
+            {
+                "a": Trace([[0], [1], [2]], num_vectors=4),
+                "b": Trace([[3, 2]], num_vectors=4),
+            }
+        )
+        requests = list(trace.iter_requests())
+        assert len(requests) == 3
+        assert set(requests[0]) == {"a", "b"}
+        np.testing.assert_array_equal(requests[0]["b"], [3, 2])
+        assert set(requests[1]) == {"a"}  # table b has run out of queries
+        np.testing.assert_array_equal(requests[2]["a"], [2])
+
+    def test_empty_trace(self):
+        assert list(ModelTrace({}).iter_requests()) == []
