@@ -103,11 +103,24 @@ class TestConfigKnobValidation:
         [
             {"vector_bytes": 0},
             {"block_bytes": 0},
+            {"total_cache_vectors": 0},
+            {"shp_iterations": 0},
+            {"kmeans_clusters": 0},
+            {"queue_depth": 0.0},
         ],
     )
     def test_bandana_rejects_non_positive_counts(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             BandanaConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name", ["use_batched_engine", "interleaved_replay", "num_workers", "chunk_requests"]
+    )
+    def test_bandana_has_no_replay_schedule_knobs(self, name):
+        # Replay runs on the batched engine alone; a stale schedule option
+        # must fail loudly rather than be silently ignored.
+        with pytest.raises(TypeError, match=name):
+            BandanaConfig(**{name: 1})
 
     @pytest.mark.parametrize("kwargs", [{"vector_bytes": 2.5}, {"block_bytes": True}])
     def test_bandana_rejects_non_integer_counts(self, kwargs):

@@ -100,8 +100,18 @@ def candidate_counters(stats: ReplayStats):
     return stats.counters()
 
 
-def test_golden_store_counters():
+@pytest.mark.parametrize("schedule", ["table-sequential", "per-request"])
+def test_golden_store_counters(schedule):
     store, eval_trace = build_golden_store()
+    if schedule == "per-request":
+        # The zipped multi-table stream through lookup_request: each table's
+        # state machine sees the same query order, so the same counters.
+        for request in eval_trace.iter_requests():
+            store.lookup_request(request)
+        for name in SPECS:
+            assert candidate_counters(store.tables[name].stats) == GOLDEN_CANDIDATE[name], name
+        assert store.total_blocks_read() == GOLDEN_TOTAL_BLOCK_READS
+        return
     result = simulate_store(store, eval_trace)
     for name in SPECS:
         table = result.per_table[name]

@@ -138,6 +138,21 @@ class TestReplayStatsDerived:
         with pytest.raises(ValueError):
             ReplayStats(vector_bytes=128).since(ReplayStats(vector_bytes=64))
 
+    def test_since_itself_is_zero(self):
+        stats = ReplayStats(
+            lookups=7, hits=4, misses=3, prefetch_admitted=2, total_latency_us=1.25
+        )
+        assert stats.since(stats).counters(include_latency=True) == ReplayStats().counters(
+            include_latency=True
+        )
+
+    def test_since_keeps_geometry(self):
+        earlier = ReplayStats(vector_bytes=64, block_bytes=1024, lookups=2, misses=2)
+        later = ReplayStats(vector_bytes=64, block_bytes=1024, lookups=5, hits=1, misses=4)
+        delta = later.since(earlier)
+        assert (delta.vector_bytes, delta.block_bytes) == (64, 1024)
+        assert delta.nvm_bytes == 2 * 1024 and delta.app_bytes == 3 * 64
+
     @pytest.mark.parametrize(
         "fields, law",
         [

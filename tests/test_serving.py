@@ -20,6 +20,8 @@ import numpy as np
 import pytest
 
 from repro import BandanaConfig, BandanaStore, ServingConfig
+from repro.cluster import ClusterStore
+from repro.core.config import ClusterConfig, DeviceBankConfig
 from repro.nvm.latency import NVMLatencyModel
 from repro.serving import (
     DeviceLatencyAccountant,
@@ -373,6 +375,46 @@ class TestServingReportInvariants:
             report.check_invariants()
         assert "num_batches" in str(raised.value)
         assert "blocks_read" in str(raised.value)
+
+    @pytest.mark.parametrize(
+        "path",
+        ["legacy", "per-table", "shared", "closed-loop", "admission", "cluster"],
+    )
+    def test_every_serving_path_checks_its_report(self, path, monkeypatch):
+        checked = []
+        check = ServingReport.check_invariants
+
+        def counting_check(report):
+            checked.append(report)
+            check(report)
+
+        monkeypatch.setattr(ServingReport, "check_invariants", counting_check)
+        store, eval_trace = build_store_and_trace(seed=5)
+        config = ServingConfig(seed=5, arrival_rate_rps=20000.0)
+        cluster = None
+        if path in ("per-table", "shared"):
+            config = ServingConfig(
+                seed=5,
+                arrival_rate_rps=20000.0,
+                device=DeviceBankConfig(accounting=path, devices_per_host=2),
+            )
+        elif path == "closed-loop":
+            config = ServingConfig(seed=5, arrival_process="closed-loop")
+        elif path == "admission":
+            config = ServingConfig(
+                seed=5, arrival_rate_rps=400000.0, admission_queue_slack=0.1
+            )
+        elif path == "cluster":
+            cluster = ClusterStore.from_store(
+                store, config=ClusterConfig(num_nodes=2, replication=1)
+            )
+        report = simulate_serving(
+            store, eval_trace, config, num_requests=60, cluster=cluster
+        )
+        assert checked == [report]
+        assert report.num_requests == 60
+        if path == "admission":
+            assert report.requests_shed > 0
 
 
 #: Frozen output of test_seeded_golden_percentiles's configuration.  These

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.caching.miniature import MiniatureCacheTuner
 from repro.caching.policies import (
     AccessThresholdPolicy,
     CacheAllBlockPolicy,
     NoPrefetchPolicy,
 )
+from repro.caching.replay import replay_table_cache
 from repro.nvm.block import BlockLayout
 from repro.simulation.experiment import ExperimentRecord, ExperimentSweep
 from repro.simulation.report import format_percent, format_series, format_table
@@ -17,6 +19,7 @@ from repro.simulation.runner import (
     unlimited_cache_bandwidth_increase,
 )
 from repro.workloads.characterization import access_counts
+from repro.workloads.trace import ModelTrace
 from tests.conftest import build_store, counters
 
 
@@ -91,6 +94,76 @@ class TestSimulateStore:
         assert result.per_table[name].stats is not store.tables[name].stats
         store.lookup(name, trace[name].queries[0])
         assert counters(result.per_table[name].stats) == before
+
+    @pytest.mark.parametrize("split", [1, 3, 50, 1000])
+    def test_split_replay_continues_the_whole_replay(self, split):
+        whole_store, trace = build_store(3)
+        whole = simulate_store(whole_store, trace)
+        split_store, _ = build_store(3)
+        head = ModelTrace({name: t[:split] for name, t in trace.items()})
+        tail = ModelTrace({name: t[split:] for name, t in trace.items()})
+        first = simulate_store(split_store, head)
+        second = simulate_store(split_store, tail, reset_first=False)
+        for name in trace:
+            joined = first.per_table[name].stats.merge(second.per_table[name].stats)
+            assert joined.counters() == whole.per_table[name].stats.counters(), name
+            split_state, whole_state = split_store.tables[name], whole_store.tables[name]
+            assert counters(split_state.stats) == counters(whole_state.stats), name
+            assert split_state.engine.cache.keys() == whole_state.engine.cache.keys()
+            assert split_state.device.blocks_read == whole_state.device.blocks_read
+
+    def test_warm_replay_after_request_serving(self):
+        served_store, trace = build_store(4)
+        whole_store, _ = build_store(4)
+        simulate_store(whole_store, trace)
+        requests = list(trace.iter_requests())
+        for request in requests[:40]:
+            served_store.lookup_request(request)
+        tail = ModelTrace({name: t[40:] for name, t in trace.items()})
+        warm = simulate_store(served_store, tail, reset_first=False)
+        for name in trace:
+            assert warm.per_table[name].stats.lookups == tail[name].num_lookups, name
+            served, whole = served_store.tables[name], whole_store.tables[name]
+            assert counters(served.stats) == counters(whole.stats), name
+            assert served.engine.cache.keys() == whole.engine.cache.keys(), name
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_baseline_matches_reference_loop(self, seed):
+        # The baseline is the no-prefetch policy at the table's own cache
+        # size, replayed cold over the same queries.
+        store, trace = build_store(seed)
+        result = simulate_store(store, trace)
+        for name, table_trace in trace.items():
+            state = store.tables[name]
+            reference = replay_table_cache(
+                table_trace.queries,
+                state.layout,
+                NoPrefetchPolicy(),
+                cache_size=state.cache_config.cache_size_vectors,
+                vector_bytes=store.config.vector_bytes,
+            )
+            baseline = result.per_table[name].baseline_stats
+            assert baseline.counters() == reference.counters(), name
+
+    @pytest.mark.parametrize("option", ["interleaved", "num_workers", "chunk_requests"])
+    def test_no_replay_schedule_options(self, option):
+        store, trace = build_store(0)
+        with pytest.raises(TypeError, match=option):
+            simulate_store(store, trace, **{option: 1})
+
+
+class TestOneEnginePath:
+    """The batched engine is the only replay path; no knob selects another."""
+
+    def test_simulate_table_has_no_engine_switch(self, eval_trace, shp_layout):
+        with pytest.raises(TypeError, match="use_batched_engine"):
+            simulate_table(
+                eval_trace, shp_layout, NoPrefetchPolicy(), use_batched_engine=False
+            )
+
+    def test_miniature_tuner_has_no_engine_switch(self):
+        with pytest.raises(TypeError, match="use_batched_engine"):
+            MiniatureCacheTuner(use_batched_engine=False)
 
 
 class TestExperimentSweep:

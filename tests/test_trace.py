@@ -162,3 +162,31 @@ class TestRequestStream:
 
     def test_empty_trace(self):
         assert list(ModelTrace({}).iter_requests()) == []
+
+    def test_single_table_stream_is_its_queries(self):
+        table = Trace([[0, 1], [2], [3, 3]], num_vectors=4)
+        requests = list(ModelTrace({"a": table}).iter_requests())
+        assert [set(r) for r in requests] == [{"a"}] * 3
+        for request, query in zip(requests, table.queries):
+            np.testing.assert_array_equal(request["a"], query)
+
+    def test_every_query_served_once_in_order(self):
+        trace = ModelTrace(
+            {
+                "a": Trace([[0], [1], [2], [3]], num_vectors=4),
+                "b": Trace([[1, 1], [0]], num_vectors=4),
+                "c": Trace([[2, 3], [3], [0]], num_vectors=4),
+            }
+        )
+        requests = list(trace.iter_requests())
+        assert len(requests) == max(len(t) for _, t in trace.items())
+        for name, table in trace.items():
+            served = [request[name] for request in requests if name in request]
+            assert len(served) == len(table)
+            for got, query in zip(served, table.queries):
+                np.testing.assert_array_equal(got, query)
+
+    def test_stream_is_restartable(self):
+        trace = ModelTrace({"a": make_trace(), "b": Trace([[4]], num_vectors=10)})
+        first = [sorted(r) for r in trace.iter_requests()]
+        assert [sorted(r) for r in trace.iter_requests()] == first
